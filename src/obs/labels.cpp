@@ -165,105 +165,4 @@ std::uint64_t CounterFamily::folds() const {
   return folds_.load(std::memory_order_relaxed);
 }
 
-// ---------------------------------------------------------------------------
-// HistogramFamily
-
-HistogramFamily::HistogramFamily(std::string name, Histogram& global,
-                                 FamilyOptions options)
-    : name_(std::move(name)), global_(global), options_(std::move(options)) {
-  CGS_CHECK_MSG(options_.max_series > 0, "obs: family needs max_series >= 1");
-}
-
-HistogramFamily::~HistogramFamily() = default;
-
-void HistogramFamily::record(const LabelSet& labels, std::uint64_t us,
-                             std::uint64_t exemplar_id) {
-  global_.record(us, exemplar_id);
-  const std::string& key = labels.canonical();
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (auto it = cells_.find(key); it != cells_.end()) {
-      it->second->touches.fetch_add(1, std::memory_order_relaxed);
-      it->second->hist.record(us);
-      return;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Node& node = cell_locked(key);
-  node.touches.fetch_add(1, std::memory_order_relaxed);
-  node.hist.record(us);
-}
-
-HistogramFamily::Node& HistogramFamily::cell_locked(const std::string& key) {
-  if (auto it = cells_.find(key); it != cells_.end()) return *it->second;
-  if (cells_.size() >= options_.max_series) make_room_locked();
-  probation_.push_back(key);
-  return *cells_.emplace(key, std::make_unique<Node>()).first->second;
-}
-
-void HistogramFamily::make_room_locked() {
-  for (auto it = probation_.begin(); it != probation_.end();) {
-    Node& node = *cells_.find(*it)->second;
-    if (node.touches.load(std::memory_order_relaxed) >=
-        options_.promote_touches) {
-      auto next = std::next(it);
-      protected_.splice(protected_.end(), probation_, it);
-      it = next;
-    } else {
-      ++it;
-    }
-  }
-  std::list<std::string>& queue = probation_.empty() ? protected_ : probation_;
-  const std::string victim = queue.front();
-  auto it = cells_.find(victim);
-  const Histogram& h = it->second->hist;
-  const std::uint64_t folded = h.count();
-  other_.merge_from(h.snapshot(), h.sum());
-  queue.pop_front();
-  cells_.erase(it);
-  folds_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.events != nullptr)
-    options_.events->emit(EventKind::kSeriesFold, folded, options_.max_series,
-                          name_);
-}
-
-std::vector<HistogramFamily::LabeledHistogram> HistogramFamily::collect()
-    const {
-  std::vector<LabeledHistogram> out;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    out.reserve(cells_.size() + 1);
-    for (const auto& [labels, node] : cells_) {
-      LabeledHistogram h;
-      h.labels = labels;
-      h.buckets = node->hist.snapshot();
-      for (std::uint64_t b : h.buckets) h.count += b;
-      h.sum_us = node->hist.sum();
-      out.push_back(std::move(h));
-    }
-  }
-  if (other_.count() != 0) {
-    LabeledHistogram h;
-    h.labels = options_.overflow.canonical();
-    h.buckets = other_.snapshot();
-    for (std::uint64_t b : h.buckets) h.count += b;
-    h.sum_us = other_.sum();
-    out.push_back(std::move(h));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const LabeledHistogram& a, const LabeledHistogram& b) {
-              return a.labels < b.labels;
-            });
-  return out;
-}
-
-std::size_t HistogramFamily::series() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return cells_.size();
-}
-
-std::uint64_t HistogramFamily::folds() const {
-  return folds_.load(std::memory_order_relaxed);
-}
-
 }  // namespace cgs::obs

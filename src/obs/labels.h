@@ -127,51 +127,6 @@ class CounterFamily {
   std::atomic<std::uint64_t> folds_{0};
 };
 
-/// Labeled histogram family: per-label full log2 histograms with the same
-/// admission/fold policy as CounterFamily. record() also lands in the
-/// wrapped global histogram (exemplar id included).
-class HistogramFamily {
- public:
-  HistogramFamily(std::string name, Histogram& global, FamilyOptions options);
-  HistogramFamily(const HistogramFamily&) = delete;
-  HistogramFamily& operator=(const HistogramFamily&) = delete;
-  ~HistogramFamily();
-
-  void record(const LabelSet& labels, std::uint64_t us,
-              std::uint64_t exemplar_id = 0);
-
-  struct LabeledHistogram {
-    std::string labels;
-    HistogramBuckets buckets{};
-    std::uint64_t count = 0;
-    std::uint64_t sum_us = 0;
-  };
-  std::vector<LabeledHistogram> collect() const;
-
-  std::size_t series() const;
-  std::uint64_t folds() const;
-  const std::string& name() const { return name_; }
-
- private:
-  struct Node {
-    Histogram hist;
-    std::atomic<std::uint64_t> touches{0};
-  };
-
-  Node& cell_locked(const std::string& key);
-  void make_room_locked();
-
-  const std::string name_;
-  Histogram& global_;
-  const FamilyOptions options_;
-  mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<Node>> cells_;
-  std::list<std::string> probation_;
-  std::list<std::string> protected_;
-  Histogram other_;
-  std::atomic<std::uint64_t> folds_{0};
-};
-
 /// Hex rendering of a tenant fingerprint / key id for use as a label
 /// value (16 lowercase hex digits — fixed width keeps scrapes greppable).
 std::string tenant_label(std::uint64_t fingerprint);

@@ -54,23 +54,6 @@ static std::chrono::steady_clock::time_point job_deadline(
   return submitted + std::chrono::microseconds(req.deadline_us);
 }
 
-template <typename JobT>
-void Dispatcher::drop_expired(std::vector<JobT>& batch,
-                              LaneCounters& counters) {
-  const auto now = std::chrono::steady_clock::now();
-  auto keep = batch.begin();
-  for (auto it = batch.begin(); it != batch.end(); ++it) {
-    if (it->deadline <= now) {
-      counters.expired.add(1);
-      it->promise.set_exception(std::make_exception_ptr(DeadlineExpired()));
-      continue;
-    }
-    if (keep != it) *keep = std::move(*it);
-    ++keep;
-  }
-  batch.erase(keep, batch.end());
-}
-
 // The one push-or-reject admission sequence every submit() overload
 // shares: wrap the envelope, attach the future, try the queue, account
 // the outcome, detach the future again when the request was not admitted.
@@ -78,8 +61,7 @@ void Dispatcher::drop_expired(std::vector<JobT>& batch,
 // simply dies with the job.)
 template <typename Req>
 Submission<typename Req::Result> Dispatcher::submit_impl(
-    Lane<Job<Req>>& lane, Req req, obs::RequestClass cls,
-    std::uint64_t tenant) {
+    Lane<Req>& lane, Req req, obs::RequestClass cls, std::uint64_t tenant) {
   Job<Req> job;
   job.req = std::move(req);
   job.submitted = std::chrono::steady_clock::now();
@@ -125,24 +107,6 @@ Dispatcher::Dispatcher(engine::SamplerRegistry& registry,
   }
   tracer_ = std::make_unique<obs::Tracer>(*obs_, options_.trace);
   events_ = &obs_->events();
-  if (options_.tenant_metrics) {
-    const auto klass = [this](const char* c) {
-      ClassTelemetry t;
-      obs::FamilyOptions fam;
-      fam.max_series = options_.tenant_series;
-      t.requests = &obs_->counter_family(
-          "cgs_tenant_" + std::string(c) + "_requests_total", fam);
-      t.latency = &obs_->windowed_histogram("cgs_serve_" + std::string(c) +
-                                            "_latency_us");
-      t.slo_good = &obs_->counter("cgs_slo_" + std::string(c) + "_good_total");
-      t.slo_bad = &obs_->counter("cgs_slo_" + std::string(c) + "_bad_total");
-      return t;
-    };
-    sign_telemetry_ = klass("sign");
-    verify_telemetry_ = klass("verify");
-    keygen_telemetry_ = klass("keygen");
-    gauss_telemetry_ = klass("gauss");
-  }
   // Key-state plumbing: one shared persistent store behind both per-tenant
   // caches, and a 60/40 byte-budget split (trees are the heavier artifact)
   // unless the caller budgeted a cache directly. When BOTH services already
@@ -186,39 +150,29 @@ Dispatcher::Dispatcher(engine::SamplerRegistry& registry,
   qos.max_tenants = options_.max_tenant_slots;
   qos.age_promote_us = options_.age_promote_us;
   qos.drr_quantum = options_.drr_quantum;
-  const auto lane_prefix = [](const char* kind, int i) {
-    return "cgs_serve_" + std::string(kind) + "_lane" + std::to_string(i);
-  };
-  for (int i = 0; i < options_.sign_lanes; ++i)
-    sign_lanes_.push_back(std::make_unique<Lane<SignJob>>(
-        qos, *obs_, lane_prefix("sign", i)));
-  for (int i = 0; i < options_.verify_lanes; ++i)
-    verify_lanes_.push_back(std::make_unique<Lane<VerifyJob>>(
-        qos, *obs_, lane_prefix("verify", i)));
-  keygen_lanes_.push_back(std::make_unique<Lane<KeygenJob>>(
-      qos, *obs_, lane_prefix("keygen", 0)));
-  for (int i = 0; i < options_.gauss_lanes; ++i)
-    gauss_lanes_.push_back(std::make_unique<Lane<GaussJob>>(
-        qos, *obs_, lane_prefix("gauss", i)));
+  for_each_class(*this, [&]<class Policy>(LaneClass<Policy>& cls) {
+    const std::string kind = Policy::kKind;
+    for (int i = 0; i < Policy::lane_count(options_); ++i)
+      cls.lanes.push_back(std::make_unique<Lane<typename Policy::Req>>(
+          qos, *obs_, "cgs_serve_" + kind + "_lane" + std::to_string(i)));
+    if (!options_.tenant_metrics) return;
+    obs::FamilyOptions fam;
+    fam.max_series = options_.tenant_series;
+    cls.telemetry.requests = &obs_->counter_family(
+        "cgs_tenant_" + kind + "_requests_total", fam);
+    cls.telemetry.latency =
+        &obs_->windowed_histogram("cgs_serve_" + kind + "_latency_us");
+    cls.telemetry.slo_good = &obs_->counter("cgs_slo_" + kind + "_good_total");
+    cls.telemetry.slo_bad = &obs_->counter("cgs_slo_" + kind + "_bad_total");
+  });
   register_bridges();
   // Lanes start only after every queue exists — a lane thread never sees a
   // half-constructed dispatcher.
-  for (auto& lane : sign_lanes_) {
-    Lane<SignJob>* l = lane.get();
-    lane->thread = std::thread([this, l] { run_sign_lane(*l); });
-  }
-  for (auto& lane : verify_lanes_) {
-    Lane<VerifyJob>* l = lane.get();
-    lane->thread = std::thread([this, l] { run_verify_lane(*l); });
-  }
-  for (auto& lane : keygen_lanes_) {
-    Lane<KeygenJob>* l = lane.get();
-    lane->thread = std::thread([this, l] { run_keygen_lane(*l); });
-  }
-  for (auto& lane : gauss_lanes_) {
-    Lane<GaussJob>* l = lane.get();
-    lane->thread = std::thread([this, l] { run_gauss_lane(*l); });
-  }
+  for_each_class(*this, [this](auto& cls) {
+    for (auto& lane : cls.lanes)
+      lane->thread = std::thread(
+          [this, &cls, l = lane.get()] { run_lane(cls, *l); });
+  });
 }
 
 Dispatcher::~Dispatcher() { shutdown(); }
@@ -237,34 +191,27 @@ void Dispatcher::register_bridges() {
     obs_->counter_fn(name, std::move(fn));
     callback_metrics_.push_back(std::move(name));
   };
-  const auto lane_depths = [&gauge, &counter](const auto& lanes,
-                                              const char* kind) {
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      auto* lane = lanes[i].get();
-      const std::string prefix =
-          "cgs_serve_" + std::string(kind) + "_lane" + std::to_string(i);
-      gauge(prefix + "_queue_depth",
+  for_each_class(*this, [&](const auto& cls) {
+    for (const auto& lane_ptr : cls.lanes) {
+      const auto* lane = lane_ptr.get();
+      gauge(lane->prefix + "_queue_depth",
             [lane] { return static_cast<double>(lane->queue.size()); });
       // The QosQueue policy counters, scraped alongside the depth so an
       // operator sees WHY a lane sheds, not just that it is deep.
-      counter(prefix + "_aged_promotions_total", [lane] {
+      counter(lane->prefix + "_aged_promotions_total", [lane] {
         return static_cast<double>(lane->queue.stats().aged_promotions);
       });
-      counter(prefix + "_priority_inversions_total", [lane] {
+      counter(lane->prefix + "_priority_inversions_total", [lane] {
         return static_cast<double>(lane->queue.stats().priority_inversions);
       });
-      counter(prefix + "_tenant_rejections_total", [lane] {
+      counter(lane->prefix + "_tenant_rejections_total", [lane] {
         return static_cast<double>(lane->queue.stats().tenant_rejections);
       });
-      gauge(prefix + "_tenant_slots", [lane] {
+      gauge(lane->prefix + "_tenant_slots", [lane] {
         return static_cast<double>(lane->queue.stats().tenant_slots);
       });
     }
-  };
-  lane_depths(sign_lanes_, "sign");
-  lane_depths(verify_lanes_, "verify");
-  lane_depths(keygen_lanes_, "keygen");
-  lane_depths(gauss_lanes_, "gauss");
+  });
 
   counter("cgs_serve_verify_slices_stolen_total", [crew = verify_crew_.get()] {
     return static_cast<double>(crew->stolen());
@@ -339,18 +286,13 @@ void Dispatcher::shutdown() {
   }
   for (const std::string& name : callback_metrics_) obs_->unregister(name);
   callback_metrics_.clear();
-  for (auto& lane : sign_lanes_) lane->queue.close();
-  for (auto& lane : verify_lanes_) lane->queue.close();
-  for (auto& lane : keygen_lanes_) lane->queue.close();
-  for (auto& lane : gauss_lanes_) lane->queue.close();
-  for (auto& lane : sign_lanes_)
-    if (lane->thread.joinable()) lane->thread.join();
-  for (auto& lane : verify_lanes_)
-    if (lane->thread.joinable()) lane->thread.join();
-  for (auto& lane : keygen_lanes_)
-    if (lane->thread.joinable()) lane->thread.join();
-  for (auto& lane : gauss_lanes_)
-    if (lane->thread.joinable()) lane->thread.join();
+  for_each_class(*this, [](auto& cls) {
+    for (auto& lane : cls.lanes) lane->queue.close();
+  });
+  for_each_class(*this, [](auto& cls) {
+    for (auto& lane : cls.lanes)
+      if (lane->thread.joinable()) lane->thread.join();
+  });
 }
 
 std::uint64_t Dispatcher::add_key(falcon::KeyPair kp) {
@@ -389,7 +331,8 @@ void Dispatcher::record_class(const ClassTelemetry& t, std::uint64_t tenant,
 Submission<falcon::Signature> Dispatcher::submit(SignRequest req) {
   CGS_CHECK_MSG(key(req.key_id) != nullptr,
                 "submit(SignRequest): key_id not registered (add_key first)");
-  Lane<SignJob>& lane = *sign_lanes_[mix64(req.key_id) % sign_lanes_.size()];
+  Lane<SignRequest>& lane =
+      *sign_.lanes[mix64(req.key_id) % sign_.lanes.size()];
   const std::uint64_t tenant = req.key_id;
   return submit_impl(lane, std::move(req), obs::RequestClass::kSign, tenant);
 }
@@ -398,8 +341,8 @@ Submission<bool> Dispatcher::submit(VerifyRequest req) {
   CGS_CHECK_MSG(
       key(req.key_id) != nullptr,
       "submit(VerifyRequest): key_id not registered (add_key first)");
-  Lane<VerifyJob>& lane =
-      *verify_lanes_[mix64(req.key_id) % verify_lanes_.size()];
+  Lane<VerifyRequest>& lane =
+      *verify_.lanes[mix64(req.key_id) % verify_.lanes.size()];
   const std::uint64_t tenant = req.key_id;
   return submit_impl(lane, std::move(req), obs::RequestClass::kVerify, tenant);
 }
@@ -407,171 +350,142 @@ Submission<bool> Dispatcher::submit(VerifyRequest req) {
 Submission<KeygenResult> Dispatcher::submit(KeygenRequest req) {
   // Tenant unknown until the solve finishes — the keygen lane fills it in
   // once the fingerprint exists.
-  return submit_impl(*keygen_lanes_.front(), std::move(req),
+  return submit_impl(*keygen_.lanes.front(), std::move(req),
                      obs::RequestClass::kKeygen, 0);
 }
 
 Submission<std::vector<std::int32_t>> Dispatcher::submit(GaussRequest req) {
   CGS_CHECK_MSG(req.n >= 1, "submit(GaussRequest): empty request");
   const std::uint64_t tenant = gauss_shard_key(req.sigma, req.center);
-  Lane<GaussJob>& lane = *gauss_lanes_[tenant % gauss_lanes_.size()];
+  Lane<GaussRequest>& lane = *gauss_.lanes[tenant % gauss_.lanes.size()];
   return submit_impl(lane, std::move(req), obs::RequestClass::kGauss, tenant);
 }
 
-void Dispatcher::run_sign_lane(Lane<SignJob>& lane) {
-  MicroBatcher<SignJob, QosQueue<SignJob>> batcher(
-      lane.queue, options_.max_batch,
-      std::chrono::microseconds(options_.max_linger_us));
+template <class Policy>
+void Dispatcher::run_lane(const LaneClass<Policy>& cls,
+                          Lane<typename Policy::Req>& lane) {
+  using JobT = Job<typename Policy::Req>;
+  Policy policy{*this};
+  MicroBatcher<JobT> batcher(lane.queue, options_.max_batch,
+                             std::chrono::microseconds(options_.max_linger_us));
+  policy.start(batcher);
+  std::vector<JobT> batch;
+  while (batcher.next_batch(batch)) {
+    const std::uint64_t closed_us = obs::Trace::now_us();
+    for (JobT& job : batch)
+      job.trace.stamp_at(obs::Stage::kBatchClosed, closed_us);
+    // Batch close is the one moment a lane inspects jobs anyway: work
+    // whose budget already lapsed fails typed here instead of running late.
+    const auto now = std::chrono::steady_clock::now();
+    std::erase_if(batch, [&](JobT& job) {
+      if (job.deadline > now) return false;
+      lane.counters.expired.add(1);
+      job.promise.set_exception(std::make_exception_ptr(DeadlineExpired()));
+      return true;
+    });
+    std::map<typename Policy::Key, std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      groups[policy.group_key(batch[i], i)].push_back(i);
+    for (const auto& [key, group] : groups) {
+      lane.counters.batches.add(1);
+      lane.counters.batched.add(group.size());
+      for (std::size_t i : group)
+        batch[i].trace.stamp(obs::Stage::kEngineStart);
+      try {
+        auto results = policy.run_group(batch, group);
+        for (std::size_t i : group)
+          batch[i].trace.stamp(obs::Stage::kEngineEnd);
+        for (std::size_t j = 0; j < group.size(); ++j) {
+          JobT& job = batch[group[j]];
+          const std::uint64_t latency = elapsed_us(job.submitted);
+          lane.counters.latency.record(latency);
+          record_class(cls.telemetry, job.trace.tenant, latency,
+                       job.trace.trace_id);
+          lane.counters.completed.add(1);
+          job.trace.stamp(obs::Stage::kFulfilled);
+          job.promise.set_value(std::move(results[j]));
+          tracer_->finish(job.trace);
+        }
+      } catch (...) {
+        const auto error = std::current_exception();
+        for (std::size_t i : group) {
+          lane.counters.failed.add(1);
+          batch[i].promise.set_exception(error);
+        }
+      }
+    }
+  }
+}
+
+void Dispatcher::SignPolicy::start(MicroBatcher<Job<Req>>& batcher) {
   // While this lane's queue is empty, lend the thread to the verify crew:
   // a lingering verify batch's slices finish on otherwise-idle cores.
   batcher.set_idle_work(
-      [crew = verify_crew_.get()] { return crew->try_help_one(); });
-  std::vector<SignJob> batch;
-  while (batcher.next_batch(batch)) {
-    const std::uint64_t closed_us = obs::Trace::now_us();
-    for (SignJob& job : batch)
-      job.trace.stamp_at(obs::Stage::kBatchClosed, closed_us);
-    drop_expired(batch, lane.counters);
-    if (batch.empty()) continue;
-    // Group by tenant key, preserving arrival order within each group —
-    // one sign_many per key is what fills the engine's bit-sliced lanes.
-    std::map<std::uint64_t, std::vector<std::size_t>> by_key;
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      by_key[batch[i].req.key_id].push_back(i);
-    for (const auto& [key_id, indices] : by_key) {
-      const falcon::KeyPair* kp = key(key_id);
-      std::vector<std::string_view> messages;
-      messages.reserve(indices.size());
-      for (std::size_t i : indices) messages.push_back(batch[i].req.message);
-      lane.counters.batches.add(1);
-      lane.counters.batched.add(indices.size());
-      for (std::size_t i : indices)
-        batch[i].trace.stamp(obs::Stage::kEngineStart);
-      try {
-        CGS_CHECK_MSG(kp != nullptr, "signing lane lost a registered key");
-        auto sigs = signing_->sign_many(*kp, messages);
-        for (std::size_t i : indices)
-          batch[i].trace.stamp(obs::Stage::kEngineEnd);
-        for (std::size_t j = 0; j < indices.size(); ++j) {
-          SignJob& job = batch[indices[j]];
-          const std::uint64_t latency = elapsed_us(job.submitted);
-          lane.counters.latency.record(latency);
-          record_class(sign_telemetry_, key_id, latency, job.trace.trace_id);
-          lane.counters.completed.add(1);
-          job.trace.stamp(obs::Stage::kFulfilled);
-          job.promise.set_value(std::move(sigs[j]));
-          tracer_->finish(job.trace);
-        }
-      } catch (...) {
-        const auto error = std::current_exception();
-        for (std::size_t i : indices) {
-          lane.counters.failed.add(1);
-          batch[i].promise.set_exception(error);
-        }
-      }
-    }
-  }
+      [crew = d.verify_crew_.get()] { return crew->try_help_one(); });
 }
 
-void Dispatcher::run_verify_lane(Lane<VerifyJob>& lane) {
-  MicroBatcher<VerifyJob, QosQueue<VerifyJob>> batcher(
-      lane.queue, options_.max_batch,
-      std::chrono::microseconds(options_.max_linger_us));
+std::vector<falcon::Signature> Dispatcher::SignPolicy::run_group(
+    std::vector<Job<Req>>& batch, Group group) {
+  const falcon::KeyPair* kp = d.key(batch[group.front()].req.key_id);
+  CGS_CHECK_MSG(kp != nullptr, "signing lane lost a registered key");
+  std::vector<std::string_view> messages;
+  messages.reserve(group.size());
+  for (std::size_t i : group) messages.push_back(batch[i].req.message);
+  return d.signing_->sign_many(*kp, messages);
+}
+
+// One verify pass per key runs the shared hash/NTT pipeline over the whole
+// group against that key's cached NTT-domain public key.
+std::vector<std::uint8_t> Dispatcher::VerifyPolicy::run_group(
+    std::vector<Job<Req>>& batch, Group group) {
+  const falcon::KeyPair* kp = d.key(batch[group.front()].req.key_id);
+  CGS_CHECK_MSG(kp != nullptr, "verify lane lost a registered key");
+  std::vector<std::string_view> messages;
+  std::vector<falcon::Signature> sigs;
+  messages.reserve(group.size());
+  sigs.reserve(group.size());
+  for (std::size_t i : group) {
+    messages.push_back(batch[i].req.message);
+    sigs.push_back(std::move(batch[i].req.sig));
+  }
   const std::size_t slice =
-      std::max<std::size_t>(1, options_.verify_steal_slice);
-  std::vector<VerifyJob> batch;
-  while (batcher.next_batch(batch)) {
-    const std::uint64_t closed_us = obs::Trace::now_us();
-    for (VerifyJob& job : batch)
-      job.trace.stamp_at(obs::Stage::kBatchClosed, closed_us);
-    drop_expired(batch, lane.counters);
-    if (batch.empty()) continue;
-    // Group by tenant key like the sign lane: one verify pass per key runs
-    // the shared hash/NTT pipeline over the whole group against that key's
-    // cached NTT-domain public key.
-    std::map<std::uint64_t, std::vector<std::size_t>> by_key;
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      by_key[batch[i].req.key_id].push_back(i);
-    for (const auto& [key_id, indices] : by_key) {
-      const falcon::KeyPair* kp = key(key_id);
-      std::vector<std::string_view> messages;
-      std::vector<falcon::Signature> sigs;
-      messages.reserve(indices.size());
-      sigs.reserve(indices.size());
-      for (std::size_t i : indices) {
-        messages.push_back(batch[i].req.message);
-        sigs.push_back(std::move(batch[i].req.sig));
-      }
-      lane.counters.batches.add(1);
-      lane.counters.batched.add(indices.size());
-      for (std::size_t i : indices)
-        batch[i].trace.stamp(obs::Stage::kEngineStart);
+      std::max<std::size_t>(1, d.options_.verify_steal_slice);
+  if (group.size() <= slice)
+    return d.verifier_->verify_many(kp->h, kp->params, messages, sigs);
+  // Large groups split into crew slices: each task verifies a disjoint
+  // subrange and writes a disjoint region of `verdicts`, so crew workers
+  // (and thieving idle sign lanes) run them with no shared mutable state.
+  // run() returns only when every slice is done — the lane thread itself
+  // executes whatever was not stolen.
+  std::vector<std::uint8_t> verdicts(group.size());
+  const std::size_t tasks_n = (group.size() + slice - 1) / slice;
+  std::vector<std::exception_ptr> errors(tasks_n);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(tasks_n);
+  for (std::size_t t = 0; t < tasks_n; ++t) {
+    const std::size_t begin = t * slice;
+    const std::size_t count = std::min(slice, group.size() - begin);
+    tasks.push_back([this, kp, &messages, &sigs, &verdicts, &errors, t, begin,
+                     count] {
       try {
-        CGS_CHECK_MSG(kp != nullptr, "verify lane lost a registered key");
-        // Large groups split into crew slices: each task verifies a
-        // disjoint subrange and writes a disjoint region of `verdicts`,
-        // so crew workers (and thieving idle sign lanes) run them with no
-        // shared mutable state. run() returns only when every slice is
-        // done — the lane thread itself executes whatever was not stolen.
-        std::vector<std::uint8_t> verdicts(indices.size());
-        if (indices.size() <= slice) {
-          const auto v = verifier_->verify_many(kp->h, kp->params, messages,
-                                                sigs);
-          std::copy(v.begin(), v.end(), verdicts.begin());
-        } else {
-          const std::size_t tasks_n = (indices.size() + slice - 1) / slice;
-          std::vector<std::exception_ptr> errors(tasks_n);
-          std::vector<std::function<void()>> tasks;
-          tasks.reserve(tasks_n);
-          for (std::size_t t = 0; t < tasks_n; ++t) {
-            const std::size_t begin = t * slice;
-            const std::size_t count =
-                std::min(slice, indices.size() - begin);
-            tasks.push_back([this, kp, &messages, &sigs, &verdicts, &errors,
-                             t, begin, count] {
-              try {
-                const auto v = verifier_->verify_many(
-                    kp->h, kp->params,
-                    std::span<const std::string_view>(messages)
-                        .subspan(begin, count),
-                    std::span<const falcon::Signature>(sigs)
-                        .subspan(begin, count));
-                std::copy(v.begin(), v.end(), verdicts.begin() +
-                                                  static_cast<std::ptrdiff_t>(
-                                                      begin));
-              } catch (...) {
-                errors[t] = std::current_exception();
-              }
-            });
-          }
-          verify_crew_->run(std::move(tasks));
-          for (const auto& e : errors)
-            if (e) std::rethrow_exception(e);
-        }
-        for (std::size_t i : indices)
-          batch[i].trace.stamp(obs::Stage::kEngineEnd);
-        for (std::size_t j = 0; j < indices.size(); ++j) {
-          VerifyJob& job = batch[indices[j]];
-          const std::uint64_t latency = elapsed_us(job.submitted);
-          lane.counters.latency.record(latency);
-          record_class(verify_telemetry_, key_id, latency, job.trace.trace_id);
-          lane.counters.completed.add(1);
-          job.trace.stamp(obs::Stage::kFulfilled);
-          job.promise.set_value(verdicts[j] != 0);
-          tracer_->finish(job.trace);
-        }
+        const auto v = d.verifier_->verify_many(
+            kp->h, kp->params,
+            std::span<const std::string_view>(messages).subspan(begin, count),
+            std::span<const falcon::Signature>(sigs).subspan(begin, count));
+        std::copy(v.begin(), v.end(),
+                  verdicts.begin() + static_cast<std::ptrdiff_t>(begin));
       } catch (...) {
-        const auto error = std::current_exception();
-        for (std::size_t i : indices) {
-          lane.counters.failed.add(1);
-          batch[i].promise.set_exception(error);
-        }
+        errors[t] = std::current_exception();
       }
-    }
+    });
   }
+  d.verify_crew_->run(std::move(tasks));
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);
+  return verdicts;
 }
 
-void Dispatcher::run_keygen_lane(Lane<KeygenJob>& lane) {
+void Dispatcher::KeygenPolicy::start(MicroBatcher<Job<Req>>&) {
 #ifdef __linux__
   // Lowest scheduling priority: when keygen and a sign/verify lane compete
   // for a core, the solver always loses — the lane's isolation guarantee
@@ -579,170 +493,97 @@ void Dispatcher::run_keygen_lane(Lane<KeygenJob>& lane) {
   // too. (Best-effort: EPERM etc. just leaves the default priority.)
   ::setpriority(PRIO_PROCESS, static_cast<id_t>(::syscall(SYS_gettid)), 19);
 #endif
-  MicroBatcher<KeygenJob, QosQueue<KeygenJob>> batcher(
-      lane.queue, options_.max_batch,
-      std::chrono::microseconds(options_.max_linger_us));
-  std::vector<KeygenJob> batch;
-  while (batcher.next_batch(batch)) {
-    const std::uint64_t closed_us = obs::Trace::now_us();
-    for (KeygenJob& job : batch)
-      job.trace.stamp_at(obs::Stage::kBatchClosed, closed_us);
-    drop_expired(batch, lane.counters);
-    // Keygens are independent multi-hundred-millisecond solves — there is
-    // nothing to batch, the lane just drains them one by one.
-    for (KeygenJob& job : batch) {
-      lane.counters.batches.add(1);
-      lane.counters.batched.add(1);
-      job.trace.stamp(obs::Stage::kEngineStart);
-      // A keygen start is a discrete, operationally loud happening (an
-      // NTRU solve is about to eat a core for hundreds of ms) — exactly
-      // what the event ring exists for.
-      events_->emit(obs::EventKind::kKeygenStart, job.req.params.n, 0,
-                    "keygen lane");
-      try {
-        prng::ChaCha20Source rng(job.req.seed);
-        falcon::KeyPair kp = falcon::keygen(job.req.params, rng);
-        job.trace.stamp(obs::Stage::kEngineEnd);
-        KeygenResult result;
-        result.params = kp.params;
-        result.public_h = kp.h;
-        result.key_id = add_key(std::move(kp));
-        // The tenant only exists once the solve finishes — backfill the
-        // trace so the slow ring can still name it.
-        job.trace.tenant = result.key_id;
-        const std::uint64_t latency = elapsed_us(job.submitted);
-        lane.counters.latency.record(latency);
-        record_class(keygen_telemetry_, result.key_id, latency,
-                     job.trace.trace_id);
-        lane.counters.completed.add(1);
-        job.trace.stamp(obs::Stage::kFulfilled);
-        job.promise.set_value(std::move(result));
-        tracer_->finish(job.trace);
-      } catch (...) {
-        lane.counters.failed.add(1);
-        job.promise.set_exception(std::current_exception());
-      }
-    }
-  }
 }
 
-void Dispatcher::run_gauss_lane(Lane<GaussJob>& lane) {
-  MicroBatcher<GaussJob, QosQueue<GaussJob>> batcher(
-      lane.queue, options_.max_batch,
-      std::chrono::microseconds(options_.max_linger_us));
-  std::vector<GaussJob> batch;
-  while (batcher.next_batch(batch)) {
-    const std::uint64_t closed_us = obs::Trace::now_us();
-    for (GaussJob& job : batch)
-      job.trace.stamp_at(obs::Stage::kBatchClosed, closed_us);
-    drop_expired(batch, lane.counters);
-    if (batch.empty()) continue;
-    // Group by exact target bit patterns: one bulk sample() per distinct
-    // (sigma, center), split back across the requests afterwards.
-    std::map<std::pair<std::uint64_t, std::uint64_t>,
-             std::vector<std::size_t>>
-        by_target;
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      by_target[{std::bit_cast<std::uint64_t>(batch[i].req.sigma),
-                 std::bit_cast<std::uint64_t>(batch[i].req.center)}]
-          .push_back(i);
-    for (const auto& [target, indices] : by_target) {
-      std::size_t total = 0;
-      for (std::size_t i : indices) total += batch[i].req.n;
-      lane.counters.batches.add(1);
-      lane.counters.batched.add(indices.size());
-      for (std::size_t i : indices)
-        batch[i].trace.stamp(obs::Stage::kEngineStart);
-      try {
-        const GaussJob& head = batch[indices.front()];
-        const std::uint64_t tenant =
-            gauss_shard_key(head.req.sigma, head.req.center);
-        const std::vector<std::int32_t> bulk =
-            gaussian_->sample(head.req.sigma, head.req.center, total);
-        for (std::size_t i : indices)
-          batch[i].trace.stamp(obs::Stage::kEngineEnd);
-        std::size_t off = 0;
-        for (std::size_t i : indices) {
-          GaussJob& job = batch[i];
-          std::vector<std::int32_t> slice(
-              bulk.begin() + static_cast<std::ptrdiff_t>(off),
-              bulk.begin() + static_cast<std::ptrdiff_t>(off + job.req.n));
-          off += job.req.n;
-          const std::uint64_t latency = elapsed_us(job.submitted);
-          lane.counters.latency.record(latency);
-          record_class(gauss_telemetry_, tenant, latency, job.trace.trace_id);
-          lane.counters.completed.add(1);
-          job.trace.stamp(obs::Stage::kFulfilled);
-          job.promise.set_value(std::move(slice));
-          tracer_->finish(job.trace);
-        }
-      } catch (...) {
-        const auto error = std::current_exception();
-        for (std::size_t i : indices) {
-          lane.counters.failed.add(1);
-          batch[i].promise.set_exception(error);
-        }
-      }
-    }
-  }
+// Keygens are independent multi-hundred-millisecond solves — there is
+// nothing to batch, so every group is one job.
+std::vector<KeygenResult> Dispatcher::KeygenPolicy::run_group(
+    std::vector<Job<Req>>& batch, Group group) {
+  Job<Req>& job = batch[group.front()];
+  // A keygen start is a discrete, operationally loud happening (an NTRU
+  // solve is about to eat a core for hundreds of ms) — exactly what the
+  // event ring exists for.
+  d.events_->emit(obs::EventKind::kKeygenStart, job.req.params.n, 0,
+                  "keygen lane");
+  prng::ChaCha20Source rng(job.req.seed);
+  falcon::KeyPair kp = falcon::keygen(job.req.params, rng);
+  std::vector<KeygenResult> out(1);
+  out[0].params = kp.params;
+  out[0].public_h = kp.h;
+  out[0].key_id = d.add_key(std::move(kp));
+  // The tenant only exists once the solve finishes — backfill the trace
+  // so telemetry and the slow ring can still name it.
+  job.trace.tenant = out[0].key_id;
+  return out;
 }
 
-namespace {
-
-template <typename LanePtr>
-void snapshot_lanes(const std::vector<LanePtr>& lanes,
-                    std::vector<LaneSnapshot>& out, LatencyBuckets& merged) {
-  for (const auto& lane : lanes) {
-    LaneSnapshot snap;
-    snap.submitted = lane->counters.submitted.value();
-    snap.rejected = lane->counters.rejected.value();
-    snap.completed = lane->counters.completed.value();
-    snap.failed = lane->counters.failed.value();
-    snap.expired = lane->counters.expired.value();
-    snap.batches = lane->counters.batches.value();
-    snap.batched = lane->counters.batched.value();
-    snap.queue_depth = lane->queue.size();
-    const QosQueueStats qos = lane->queue.stats();
-    snap.aged_promotions = qos.aged_promotions;
-    snap.priority_inversions = qos.priority_inversions;
-    snap.tenant_rejections = qos.tenant_rejections;
-    snap.tenant_slots = qos.tenant_slots;
-    // One bucket snapshot per lane: all three quantiles and the merge come
-    // from the same copy (the old path re-read the live buckets once per
-    // quantile, so p50/p95/p99 could disagree about the total).
-    const LatencyBuckets buckets = lane->counters.latency.snapshot();
-    snap.p50_us = bucket_quantile(buckets, 0.50);
-    snap.p95_us = bucket_quantile(buckets, 0.95);
-    snap.p99_us = bucket_quantile(buckets, 0.99);
-    for (std::size_t i = 0; i < merged.size(); ++i) merged[i] += buckets[i];
-    out.push_back(snap);
+// One bulk sample() per distinct (sigma, center), split back across the
+// requests afterwards.
+std::vector<std::vector<std::int32_t>> Dispatcher::GaussPolicy::run_group(
+    std::vector<Job<Req>>& batch, Group group) {
+  const GaussRequest& head = batch[group.front()].req;
+  std::size_t total = 0;
+  for (std::size_t i : group) total += batch[i].req.n;
+  const std::vector<std::int32_t> bulk =
+      d.gaussian_->sample(head.sigma, head.center, total);
+  std::vector<std::vector<std::int32_t>> out;
+  out.reserve(group.size());
+  auto from = bulk.begin();
+  for (std::size_t i : group) {
+    const auto n = static_cast<std::ptrdiff_t>(batch[i].req.n);
+    out.emplace_back(from, from + n);
+    from += n;
   }
+  return out;
 }
-
-}  // namespace
 
 MetricsSnapshot Dispatcher::metrics() const {
   MetricsSnapshot snap;
-  LatencyBuckets sign_merged{};
-  LatencyBuckets verify_merged{};
-  LatencyBuckets keygen_merged{};
-  LatencyBuckets gauss_merged{};
-  snapshot_lanes(sign_lanes_, snap.sign_lanes, sign_merged);
-  snapshot_lanes(verify_lanes_, snap.verify_lanes, verify_merged);
-  snapshot_lanes(keygen_lanes_, snap.keygen_lanes, keygen_merged);
-  snapshot_lanes(gauss_lanes_, snap.gauss_lanes, gauss_merged);
-  snap.p50_us = bucket_quantile(sign_merged, 0.50);
-  snap.p95_us = bucket_quantile(sign_merged, 0.95);
-  snap.p99_us = bucket_quantile(sign_merged, 0.99);
-  snap.verify_p50_us = bucket_quantile(verify_merged, 0.50);
-  snap.verify_p95_us = bucket_quantile(verify_merged, 0.95);
-  snap.verify_p99_us = bucket_quantile(verify_merged, 0.99);
-  snap.keygen_p50_us = bucket_quantile(keygen_merged, 0.50);
-  snap.keygen_p95_us = bucket_quantile(keygen_merged, 0.95);
-  snap.keygen_p99_us = bucket_quantile(keygen_merged, 0.99);
-  snap.gauss_p50_us = bucket_quantile(gauss_merged, 0.50);
-  snap.gauss_p95_us = bucket_quantile(gauss_merged, 0.95);
-  snap.gauss_p99_us = bucket_quantile(gauss_merged, 0.99);
+  // Where each class lands in the snapshot, in for_each_class order.
+  struct Slot {
+    std::vector<LaneSnapshot>* lanes;
+    double *p50, *p95, *p99;
+  };
+  const Slot slots[] = {
+      {&snap.sign_lanes, &snap.p50_us, &snap.p95_us, &snap.p99_us},
+      {&snap.verify_lanes, &snap.verify_p50_us, &snap.verify_p95_us,
+       &snap.verify_p99_us},
+      {&snap.keygen_lanes, &snap.keygen_p50_us, &snap.keygen_p95_us,
+       &snap.keygen_p99_us},
+      {&snap.gauss_lanes, &snap.gauss_p50_us, &snap.gauss_p95_us,
+       &snap.gauss_p99_us}};
+  const Slot* out = slots;
+  for_each_class(*this, [&out](const auto& cls) {
+    LatencyBuckets merged{};
+    for (const auto& lane : cls.lanes) {
+      LaneSnapshot ls;
+      ls.submitted = lane->counters.submitted.value();
+      ls.rejected = lane->counters.rejected.value();
+      ls.completed = lane->counters.completed.value();
+      ls.failed = lane->counters.failed.value();
+      ls.expired = lane->counters.expired.value();
+      ls.batches = lane->counters.batches.value();
+      ls.batched = lane->counters.batched.value();
+      ls.queue_depth = lane->queue.size();
+      const QosQueueStats qos = lane->queue.stats();
+      ls.aged_promotions = qos.aged_promotions;
+      ls.priority_inversions = qos.priority_inversions;
+      ls.tenant_rejections = qos.tenant_rejections;
+      ls.tenant_slots = qos.tenant_slots;
+      // One bucket snapshot per lane: all three quantiles and the merge
+      // come from the same copy, so p50/p95/p99 agree about the total.
+      const LatencyBuckets buckets = lane->counters.latency.snapshot();
+      ls.p50_us = bucket_quantile(buckets, 0.50);
+      ls.p95_us = bucket_quantile(buckets, 0.95);
+      ls.p99_us = bucket_quantile(buckets, 0.99);
+      for (std::size_t i = 0; i < merged.size(); ++i) merged[i] += buckets[i];
+      out->lanes->push_back(ls);
+    }
+    *out->p50 = bucket_quantile(merged, 0.50);
+    *out->p95 = bucket_quantile(merged, 0.95);
+    *out->p99 = bucket_quantile(merged, 0.99);
+    ++out;
+  });
   snap.ffldl_tree_cache = signing_->tree_cache_stats();
   snap.ntt_key_cache = verifier_->key_cache_stats();
   snap.recipe_cache = registry_->recipe_cache_stats();
@@ -755,23 +596,19 @@ MetricsSnapshot Dispatcher::metrics() const {
 
 std::vector<HealthComponent> Dispatcher::health() const {
   std::vector<HealthComponent> out;
-  const auto queues = [&](const auto& lanes, const char* kind) {
+  for_each_class(*this, [&]<class Policy>(const LaneClass<Policy>& cls) {
     double worst = 0;
-    for (const auto& lane : lanes)
+    for (const auto& lane : cls.lanes)
       worst = std::max(worst,
                        static_cast<double>(lane->queue.size()) /
                            static_cast<double>(options_.queue_capacity));
     HealthComponent c;
-    c.name = std::string(kind) + "_queue";
+    c.name = std::string(Policy::kKind) + "_queue";
     c.value = worst;
     c.ok = worst < 0.9;
     c.detail = "worst lane depth / capacity";
     out.push_back(std::move(c));
-  };
-  queues(sign_lanes_, "sign");
-  queues(verify_lanes_, "verify");
-  queues(keygen_lanes_, "keygen");
-  queues(gauss_lanes_, "gauss");
+  });
   if (key_state_) {
     const store::KvStoreStats st = key_state_->stats();
     HealthComponent c;

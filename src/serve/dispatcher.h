@@ -1,9 +1,10 @@
 #pragma once
 // Dispatcher: the asynchronous front end that turns many small concurrent
 // requests into full bit-sliced batches. Clients submit and get a future;
-// admission is a bounded RequestQueue (typed backpressure, never a block);
-// per-lane threads run a MicroBatcher (close on max_batch or max_linger,
-// whichever first) and hand closed batches to the blocking services:
+// admission is a bounded per-lane QosQueue (typed backpressure, never a
+// block); per-lane threads run a MicroBatcher (close on max_batch or
+// max_linger, whichever first) and hand closed batches to the blocking
+// services:
 //
 //   submit(SignRequest) ──── shard by key fingerprint ──> sign lane ──┐
 //   submit(VerifyRequest) ── shard by key fingerprint ──> verify lane ├─ MicroBatcher
@@ -22,7 +23,9 @@
 // and a lane batch collapses into one GaussianService::sample per distinct
 // target. Because SigningService checks workers out per call instead of
 // serializing callers, two lanes' batches on different keys overlap on
-// disjoint worker subsets instead of convoying.
+// disjoint worker subsets instead of convoying. Every lane thread runs the
+// same loop (run_lane); a request class only supplies a small policy: its
+// group key and how one group runs.
 //
 // Keygen runs on its own dedicated lane (and, on Linux, at minimum thread
 // scheduling priority): an NTRU solve is hundreds of milliseconds of
@@ -45,14 +48,17 @@
 // everything already accepted, and every outstanding future is fulfilled —
 // a submitted request is never silently dropped.
 
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/registry.h"
@@ -319,16 +325,15 @@ class Dispatcher {
     std::chrono::steady_clock::time_point deadline;
     obs::Trace trace;
   };
-  using SignJob = Job<SignRequest>;
-  using VerifyJob = Job<VerifyRequest>;
-  using KeygenJob = Job<KeygenRequest>;
-  using GaussJob = Job<GaussRequest>;
-  template <typename Job>
+
+  /// One lane: its queue, its counters (named `prefix`_*) and its thread.
+  template <typename Req>
   struct Lane {
     Lane(const QosQueueOptions& qos, obs::Registry& registry,
-         const std::string& prefix)
-        : queue(qos), counters(registry, prefix) {}
-    QosQueue<Job> queue;
+         std::string name)
+        : prefix(std::move(name)), queue(qos), counters(registry, prefix) {}
+    const std::string prefix;  // cgs_serve_<kind>_lane<i>
+    QosQueue<Job<Req>> queue;
     LaneCounters counters;
     std::thread thread;
   };
@@ -343,10 +348,91 @@ class Dispatcher {
     obs::Counter* slo_bad = nullptr;
   };
 
+  // The per-class lane policies: all that run_lane() leaves to a request
+  // class. Each names its envelope, its metric kind and lane count, the
+  // key a closed batch groups by (jobs sharing a key run as one engine
+  // call, in arrival order), and run_group, which runs one group and
+  // returns one result per job in group order — a throw fails that group
+  // and nothing else. start() runs once on the lane thread before the
+  // first batch. Telemetry lands under the job's trace tenant, which
+  // submit() sets (keygen's run_group fills it once the key exists).
+  // The run_group bodies live in dispatcher.cpp.
+  using Group = std::span<const std::size_t>;
+  struct SignPolicy {
+    using Req = SignRequest;
+    using Key = std::uint64_t;  // key_id: one sign_many per tenant key
+    static constexpr const char* kKind = "sign";
+    static int lane_count(const DispatcherOptions& o) { return o.sign_lanes; }
+    Dispatcher& d;
+    void start(MicroBatcher<Job<Req>>& batcher);  // idle verify stealing
+    Key group_key(const Job<Req>& job, std::size_t) const {
+      return job.req.key_id;
+    }
+    std::vector<falcon::Signature> run_group(std::vector<Job<Req>>& batch,
+                                             Group group);
+  };
+  struct VerifyPolicy {
+    using Req = VerifyRequest;
+    using Key = std::uint64_t;  // key_id: one verify pass per tenant key
+    static constexpr const char* kKind = "verify";
+    static int lane_count(const DispatcherOptions& o) {
+      return o.verify_lanes;
+    }
+    Dispatcher& d;
+    void start(MicroBatcher<Job<Req>>&) {}
+    Key group_key(const Job<Req>& job, std::size_t) const {
+      return job.req.key_id;
+    }
+    std::vector<std::uint8_t> run_group(std::vector<Job<Req>>& batch,
+                                        Group group);
+  };
+  struct KeygenPolicy {
+    using Req = KeygenRequest;
+    using Key = std::size_t;  // batch position: every solve runs alone
+    static constexpr const char* kKind = "keygen";
+    // Exactly one keygen lane, always (see DispatcherOptions).
+    static int lane_count(const DispatcherOptions&) { return 1; }
+    Dispatcher& d;
+    void start(MicroBatcher<Job<Req>>& batcher);  // nice 19
+    Key group_key(const Job<Req>&, std::size_t i) const { return i; }
+    std::vector<KeygenResult> run_group(std::vector<Job<Req>>& batch,
+                                        Group group);
+  };
+  struct GaussPolicy {
+    using Req = GaussRequest;
+    using Key = std::pair<std::uint64_t, std::uint64_t>;  // sigma, c bits
+    static constexpr const char* kKind = "gauss";
+    static int lane_count(const DispatcherOptions& o) { return o.gauss_lanes; }
+    Dispatcher& d;
+    void start(MicroBatcher<Job<Req>>&) {}
+    Key group_key(const Job<Req>& job, std::size_t) const {
+      return {std::bit_cast<std::uint64_t>(job.req.sigma),
+              std::bit_cast<std::uint64_t>(job.req.center)};
+    }
+    std::vector<std::vector<std::int32_t>> run_group(
+        std::vector<Job<Req>>& batch, Group group);
+  };
+
+  /// One request class: its lanes and its telemetry.
+  template <class Policy>
+  struct LaneClass {
+    std::vector<std::unique_ptr<Lane<typename Policy::Req>>> lanes;
+    ClassTelemetry telemetry;
+  };
+
+  /// Calls f on every request class (self is *this, const or not).
+  template <typename Self, typename F>
+  static void for_each_class(Self& self, F&& f) {
+    f(self.sign_);
+    f(self.verify_);
+    f(self.keygen_);
+    f(self.gauss_);
+  }
+
   /// The one admission sequence behind every submit() overload: stamp,
   /// trace (identity included), try the lane queue, account the outcome.
   template <typename Req>
-  Submission<typename Req::Result> submit_impl(Lane<Job<Req>>& lane, Req req,
+  Submission<typename Req::Result> submit_impl(Lane<Req>& lane, Req req,
                                                obs::RequestClass cls,
                                                std::uint64_t tenant);
 
@@ -355,16 +441,11 @@ class Dispatcher {
   void record_class(const ClassTelemetry& t, std::uint64_t tenant,
                     std::uint64_t latency_us, std::uint64_t trace_id);
 
-  void run_sign_lane(Lane<SignJob>& lane);
-  void run_verify_lane(Lane<VerifyJob>& lane);
-  void run_keygen_lane(Lane<KeygenJob>& lane);
-  void run_gauss_lane(Lane<GaussJob>& lane);
-
-  /// Drop every job in `batch` whose deadline already passed: fail the
-  /// promise with DeadlineExpired, count it, keep the rest in order.
-  /// Called at batch close — the one moment a lane inspects jobs anyway.
-  template <typename JobT>
-  void drop_expired(std::vector<JobT>& batch, LaneCounters& counters);
+  /// The lane loop every class shares: micro-batch, drop expired work,
+  /// group, run each group through the policy, fulfil or fail its jobs.
+  template <class Policy>
+  void run_lane(const LaneClass<Policy>& cls,
+                Lane<typename Policy::Req>& lane);
 
   void register_bridges();
 
@@ -375,10 +456,6 @@ class Dispatcher {
   obs::Registry* obs_ = nullptr;
   std::unique_ptr<obs::Tracer> tracer_;
   obs::EventLog* events_ = nullptr;  // the registry's event log
-  ClassTelemetry sign_telemetry_;
-  ClassTelemetry verify_telemetry_;
-  ClassTelemetry keygen_telemetry_;
-  ClassTelemetry gauss_telemetry_;
   std::vector<std::string> callback_metrics_;  // unregistered at shutdown
   std::unique_ptr<falcon::SigningService> signing_;
   std::unique_ptr<falcon::VerificationService> verifier_;
@@ -390,10 +467,10 @@ class Dispatcher {
   mutable std::mutex keys_mu_;
   std::map<std::uint64_t, falcon::KeyPair> keys_;
 
-  std::vector<std::unique_ptr<Lane<SignJob>>> sign_lanes_;
-  std::vector<std::unique_ptr<Lane<VerifyJob>>> verify_lanes_;
-  std::vector<std::unique_ptr<Lane<KeygenJob>>> keygen_lanes_;
-  std::vector<std::unique_ptr<Lane<GaussJob>>> gauss_lanes_;
+  LaneClass<SignPolicy> sign_;
+  LaneClass<VerifyPolicy> verify_;
+  LaneClass<KeygenPolicy> keygen_;
+  LaneClass<GaussPolicy> gauss_;
 
   std::mutex shutdown_mu_;
   bool shut_down_ = false;

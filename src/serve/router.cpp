@@ -258,6 +258,9 @@ void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
         case serial::TypeTag::kSignRequest:
           resp = sign_err(id, e.what());
           break;
+        case serial::TypeTag::kStatsRequest:
+          resp = encode(StatsResponseFrame::failure(id, e.what()));
+          break;
         case serial::TypeTag::kHealthRequest:
           resp = encode(HealthResponseFrame::failure(id, e.what()));
           break;

@@ -3,11 +3,13 @@
 // binary (examples/protocol_server, bench/bench_c10k): one switch that
 // decodes a request frame by tag, builds the matching typed Dispatcher
 // envelope, submits it, and settles the net::ResponseToken when the
-// future lands. Admission failures (kQueueFull / kShutdown) and
-// undecodable frames answer immediately with the matching error response
-// type — the token is settled on every path, so the transport's reply-
-// debt accounting (and its drain-true shutdown) holds no matter what the
-// application layer does.
+// future lands. Admission failures (kQueueFull / kTenantFull /
+// kShutdown), lapsed deadlines and unsupported tags answer with the typed
+// net kOverloaded frame, naming the request id and the retry hint;
+// unknown keys and undecodable frames answer immediately with the error
+// response type matching the request's tag. The token is settled on
+// every path, so the transport's reply-debt accounting (and its
+// drain-true shutdown) holds no matter what the application layer does.
 //
 // Completion runs off the event loop: route_frame() hands the future +
 // token pair to a CompletionPool, whose workers block on future.get()
@@ -55,10 +57,9 @@ class CompletionPool {
 };
 
 /// One frame in, one settled token out: decode by tag, submit the typed
-/// envelope to its lane, let `pool` answer when the future lands. Every
-/// failure mode (unknown key, queue full, undecodable payload,
-/// unsupported tag) answers with the error response of the matching
-/// type; the token never escapes unsettled.
+/// envelope to its lane, let `pool` answer when the future lands. Sheds
+/// answer kOverloaded, other failures the error response of the request's
+/// type (see the header comment); the token never escapes unsettled.
 void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
                  net::ResponseToken token, std::vector<std::uint8_t> frame);
 

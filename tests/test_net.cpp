@@ -847,6 +847,23 @@ TEST(RouterWire, UndecodableFrameStillNamesItsRequestId) {
   EXPECT_EQ(resp.request_id, 0x99u);  // recovered from the intact prefix
 }
 
+TEST(RouterWire, UndecodableStatsRequestAnswersStatsFailure) {
+  RouterStack stack;
+  serve::StatsRequestFrame req;
+  req.request_id = 0x5a7;
+  auto msg = serve::encode(req);
+  msg.back() ^= 0xff;  // tear the payload tail: the hash check rejects it
+  Client client(stack.server.port());
+  client.send(msg);
+  const auto frame = client.read();
+  ASSERT_TRUE(frame.has_value());
+  // A stats client's decode phase must be able to parse the answer.
+  const serve::StatsResponseFrame resp = serve::decode_stats_response(*frame);
+  EXPECT_FALSE(resp.ok);
+  EXPECT_FALSE(resp.error.empty());
+  EXPECT_EQ(resp.request_id, 0x5a7u);
+}
+
 TEST(ClientErrors, ReadDeadlineIsTypedTimeout) {
   std::mutex mu;
   std::vector<ResponseToken> parked;

@@ -12,12 +12,15 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/registry.h"
 #include "falcon/verify.h"
+#include "obs/export.h"
 #include "prng/chacha20.h"
 #include "serial/serial.h"
 #include "serve/batcher.h"
@@ -65,39 +68,6 @@ DispatcherOptions fast_options() {
   opts.gaussian.num_threads = 1;
   opts.gaussian.root_seed = 7;
   return opts;
-}
-
-// ------------------------------------------------------------- queue -----
-
-TEST(RequestQueue, BackpressureRejectsWhenFullAndAfterClose) {
-  RequestQueue<int> q(2);
-  EXPECT_EQ(q.try_push(1), SubmitStatus::kOk);
-  EXPECT_EQ(q.try_push(2), SubmitStatus::kOk);
-  EXPECT_EQ(q.try_push(3), SubmitStatus::kQueueFull);
-  EXPECT_EQ(q.size(), 2u);
-
-  int out = 0;
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_EQ(q.try_push(4), SubmitStatus::kOk);  // capacity freed
-
-  q.close();
-  EXPECT_EQ(q.try_push(5), SubmitStatus::kShutdown);
-  // Items accepted before close still drain, in order.
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 2);
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 4);
-  EXPECT_FALSE(q.pop(out));  // closed and drained
-}
-
-TEST(RequestQueue, PopUntilTimesOutOnEmpty) {
-  RequestQueue<int> q(1);
-  int out = 0;
-  const auto t0 = Clock::now();
-  EXPECT_FALSE(
-      q.pop_until(out, t0 + std::chrono::milliseconds(30)));
-  EXPECT_GE(Clock::now() - t0, std::chrono::milliseconds(25));
 }
 
 // --------------------------------------------------------- qos queue -----
@@ -210,7 +180,7 @@ TEST(QosQueue, TenantSlotTableIsBoundedWithOverflow) {
   EXPECT_EQ(q.stats().tenant_slots, 0u);
 }
 
-TEST(QosQueue, GlobalCapacityAndCloseKeepRequestQueueContract) {
+TEST(QosQueue, GlobalCapacityFreesOnPopAndCloseDrains) {
   QosQueueOptions opts;
   opts.capacity = 2;
   QosQueue<int> q(opts);
@@ -218,17 +188,29 @@ TEST(QosQueue, GlobalCapacityAndCloseKeepRequestQueueContract) {
   ASSERT_EQ(q.try_push(2, Priority::kInteractive, 2), SubmitStatus::kOk);
   EXPECT_EQ(q.try_push(3, Priority::kInteractive, 3),
             SubmitStatus::kQueueFull);
-  q.close();
-  EXPECT_EQ(q.try_push(4, Priority::kInteractive, 1),
-            SubmitStatus::kShutdown);
-  // Items accepted before close still drain (priority order), then the
-  // consumer loop ends.
   int out = 0;
   ASSERT_TRUE(q.pop(out));
   EXPECT_EQ(out, 2);
+  EXPECT_EQ(q.try_push(4, Priority::kInteractive, 3),
+            SubmitStatus::kOk);  // capacity freed
+  q.close();
+  EXPECT_EQ(q.try_push(5, Priority::kInteractive, 1),
+            SubmitStatus::kShutdown);
+  // Items accepted before close still drain (priority order), then the
+  // consumer loop ends.
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(out, 4);
   ASSERT_TRUE(q.pop(out));
   EXPECT_EQ(out, 1);
   EXPECT_FALSE(q.pop(out));
+}
+
+TEST(QosQueue, PopUntilTimesOutOnEmpty) {
+  QosQueue<int> q({.capacity = 1});
+  int out = 0;
+  const auto t0 = Clock::now();
+  EXPECT_FALSE(q.pop_until(out, t0 + std::chrono::milliseconds(30)));
+  EXPECT_GE(Clock::now() - t0, std::chrono::milliseconds(25));
 }
 
 // ------------------------------------------------------ work stealing ----
@@ -268,11 +250,13 @@ TEST(TaskCrew, ThievesHelpAndNothingOutlivesRun) {
 // ----------------------------------------------------------- batcher -----
 
 TEST(MicroBatcher, FullBatchClosesWithoutWaitingForLinger) {
-  RequestQueue<int> q(16);
+  QosQueue<int> q({.capacity = 16});
   // Linger far beyond any sane test runtime: if the batcher waited for it
   // on a full batch, this test would time out rather than pass slowly.
   MicroBatcher<int> batcher(q, 4, std::chrono::seconds(600));
-  for (int i = 0; i < 7; ++i) ASSERT_EQ(q.try_push(int(i)), SubmitStatus::kOk);
+  for (int i = 0; i < 7; ++i)
+    ASSERT_EQ(q.try_push(int(i), Priority::kInteractive, 1),
+              SubmitStatus::kOk);
 
   std::vector<int> batch;
   const auto t0 = Clock::now();
@@ -286,9 +270,9 @@ TEST(MicroBatcher, FullBatchClosesWithoutWaitingForLinger) {
 }
 
 TEST(MicroBatcher, LingerClosesPartialBatch) {
-  RequestQueue<int> q(16);
+  QosQueue<int> q({.capacity = 16});
   MicroBatcher<int> batcher(q, 64, std::chrono::milliseconds(40));
-  ASSERT_EQ(q.try_push(11), SubmitStatus::kOk);
+  ASSERT_EQ(q.try_push(11, Priority::kInteractive, 1), SubmitStatus::kOk);
   std::vector<int> batch;
   const auto t0 = Clock::now();
   ASSERT_TRUE(batcher.next_batch(batch));
@@ -303,9 +287,9 @@ TEST(MicroBatcher, LingerClosesPartialBatch) {
 // The leftovers batch above closes by linger too (queue empty): document
 // that a closed queue ends the loop instead.
 TEST(MicroBatcher, ClosedAndDrainedEndsTheLoop) {
-  RequestQueue<int> q(4);
+  QosQueue<int> q({.capacity = 4});
   MicroBatcher<int> batcher(q, 2, std::chrono::milliseconds(5));
-  ASSERT_EQ(q.try_push(1), SubmitStatus::kOk);
+  ASSERT_EQ(q.try_push(1, Priority::kInteractive, 1), SubmitStatus::kOk);
   q.close();
   std::vector<int> batch;
   ASSERT_TRUE(batcher.next_batch(batch));  // drains the accepted item
@@ -315,7 +299,7 @@ TEST(MicroBatcher, ClosedAndDrainedEndsTheLoop) {
 }
 
 TEST(MicroBatcher, IdleWorkRunsWhileWaitingForFirstItem) {
-  RequestQueue<int> q(4);
+  QosQueue<int> q({.capacity = 4});
   MicroBatcher<int> batcher(q, 2, std::chrono::milliseconds(1));
   std::atomic<int> polls{0};
   batcher.set_idle_work([&polls] {
@@ -324,7 +308,7 @@ TEST(MicroBatcher, IdleWorkRunsWhileWaitingForFirstItem) {
   });
   std::thread producer([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    (void)q.try_push(5);
+    (void)q.try_push(5, Priority::kInteractive, 1);
   });
   std::vector<int> batch;
   ASSERT_TRUE(batcher.next_batch(batch));
@@ -340,8 +324,7 @@ TEST(MicroBatcher, DrivesQosQueueAndClosedLoopEnds) {
   opts.capacity = 8;
   opts.age_promote_us = 0;
   QosQueue<int> q(opts);
-  MicroBatcher<int, QosQueue<int>> batcher(q, 4,
-                                           std::chrono::milliseconds(5));
+  MicroBatcher<int> batcher(q, 4, std::chrono::milliseconds(5));
   ASSERT_EQ(q.try_push(2, Priority::kBulk, 1), SubmitStatus::kOk);
   ASSERT_EQ(q.try_push(1, Priority::kInteractive, 1), SubmitStatus::kOk);
   std::vector<int> batch;
@@ -543,6 +526,84 @@ TEST(Dispatcher, GaussRequestsBatchPerTargetAndSliceCorrectly) {
   }
   EXPECT_EQ(gauss_completed, sizes.size());
   EXPECT_LE(gauss_batches, sizes.size());
+}
+
+TEST(Dispatcher, EngineFailureFailsOnlyItsGroup) {
+  DispatcherOptions opts = fast_options();
+  opts.gauss_lanes = 1;
+  opts.max_batch = 8;
+  opts.max_linger_us = 20000;  // both requests close in one batch
+  Dispatcher d(registry(), opts);
+
+  // sigma = -1 makes recipe planning throw inside the lane's engine call;
+  // the valid target in the same batch is its own group and must still
+  // be served.
+  auto bad = d.submit(serve::GaussRequest{.sigma = -1.0, .center = 0.0, .n = 10});
+  auto good = d.submit(serve::GaussRequest{.sigma = 30.0, .center = 0.5, .n = 40});
+  ASSERT_TRUE(bad.ok() && good.ok());
+  EXPECT_THROW((void)bad.future.get(), Error);
+  EXPECT_EQ(good.future.get().size(), 40u);
+
+  const MetricsSnapshot m = d.metrics();
+  ASSERT_EQ(m.gauss_lanes.size(), 1u);
+  EXPECT_EQ(m.gauss_lanes[0].failed, 1u);
+  EXPECT_EQ(m.gauss_lanes[0].completed, 1u);
+}
+
+// The exposition's metric names are an operator contract (dashboards and
+// alerts key on them): a dispatcher that served one request of every class
+// exposes exactly this set, no more and no fewer.
+TEST(Dispatcher, ExpositionNamesCoverEveryClass) {
+  DispatcherOptions opts = fast_options();
+  opts.sign_lanes = 1;
+  Dispatcher d(registry(), opts);
+  auto kg = d.submit(serve::KeygenRequest{
+      .params = falcon::FalconParams::for_degree(64), .seed = 5});
+  ASSERT_TRUE(kg.ok());
+  const std::uint64_t id = kg.future.get().key_id;
+  auto s = d.submit(serve::SignRequest{.key_id = id, .message = "m"});
+  ASSERT_TRUE(s.ok());
+  auto v = d.submit(
+      serve::VerifyRequest{.key_id = id, .message = "m", .sig = s.future.get()});
+  ASSERT_TRUE(v.ok());
+  EXPECT_TRUE(v.future.get());
+  auto g = d.submit(serve::GaussRequest{.sigma = 30.0, .center = 0.0, .n = 8});
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g.future.get().size(), 8u);
+
+  std::set<std::string> want = {
+      "cgs_gauss_samples_served_total", "cgs_gauss_streams",
+      "cgs_serve_verify_slices_stolen_total", "cgs_signing_base_calls_total",
+      "cgs_signing_base_rejections_total", "cgs_trace_compute_us",
+      "cgs_trace_fulfil_us", "cgs_trace_linger_us", "cgs_trace_queue_wait_us",
+      "cgs_trace_sampled_total", "cgs_trace_total_us",
+      "cgs_trace_write_stall_us", "cgs_obs_events_total"};
+  for (const std::string cache : {"ffldl_tree", "netlist", "ntt_key", "recipe"})
+    for (const char* suffix : {"_bytes", "_entries", "_evictions_total",
+                               "_hits_total", "_misses_total",
+                               "_warm_starts_total"})
+      want.insert("cgs_cache_" + cache + suffix);
+  for (const std::string cls : {"sign", "verify", "keygen", "gauss"}) {
+    for (const char* suffix :
+         {"_aged_promotions_total", "_batched_total", "_batches_total",
+          "_completed_total", "_expired_total", "_failed_total", "_latency_us",
+          "_priority_inversions_total", "_queue_depth", "_rejected_total",
+          "_submitted_total", "_tenant_rejections_total", "_tenant_slots"})
+      want.insert("cgs_serve_" + cls + "_lane0" + suffix);
+    for (const char* suffix : {"", "_win_count", "_win_p50_us", "_win_p95_us",
+                               "_win_p99_us"})
+      want.insert("cgs_serve_" + cls + "_latency_us" + suffix);
+    want.insert("cgs_slo_" + cls + "_good_total");
+    want.insert("cgs_slo_" + cls + "_bad_total");
+    want.insert("cgs_tenant_" + cls + "_requests_total");
+  }
+
+  std::set<std::string> got;
+  std::istringstream text(obs::prometheus_text(d.obs_registry()));
+  for (std::string line; std::getline(text, line);)
+    if (line.rfind("# TYPE ", 0) == 0)
+      got.insert(line.substr(7, line.find(' ', 7) - 7));
+  EXPECT_EQ(got, want);
 }
 
 TEST(Dispatcher, VerifyLaneBatchesVerdictsPerKey) {
