@@ -3,17 +3,25 @@
 // GaussianService, and verify each batch against the design distribution
 // (chi-square) and the ideal Gaussian (Renyi).
 //
-// Run it twice: the first run synthesizes the chosen base samplers (cached
-// on disk), the second starts warm.
+// Run it twice: the first run synthesizes the chosen base samplers and
+// compiles their kernels (both cached on disk), the second starts warm.
+// With --require-warm the run fails unless it compiled no kernel and
+// started no child process (a warm start never runs the host compiler).
+
+#include <sys/resource.h>
 
 #include <cstdio>
+#include <cstring>
 
+#include "ct/compiled_sampler.h"
 #include "engine/service.h"
 #include "gauss/probmatrix.h"
 #include "stats/acceptance.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cgs;
+  const bool require_warm =
+      argc > 1 && std::strcmp(argv[1], "--require-warm") == 0;
 
   engine::GaussianService service(engine::SamplerRegistry::global(),
                                   {.num_threads = 2, .root_seed = 2019});
@@ -40,6 +48,19 @@ int main() {
     std::printf("  200000 samples: mean %.3f (target %.3f) -> %s\n\n", mean,
                 t.center, acc.describe().c_str());
     if (!acc.accepted()) return 1;
+  }
+  const ct::KernelCacheStats kernels = ct::kernel_cache_stats();
+  std::printf("kernel cache: hits=%llu compiles=%llu\n",
+              static_cast<unsigned long long>(kernels.hits),
+              static_cast<unsigned long long>(kernels.compiles));
+  // Any child process this run waited for leaves a non-zero peak RSS here.
+  rusage children{};
+  getrusage(RUSAGE_CHILDREN, &children);
+  std::printf("child processes: %s\n", children.ru_maxrss ? "some" : "none");
+  if (require_warm && (kernels.compiles != 0 || children.ru_maxrss != 0)) {
+    std::printf("FAIL: a warm run must compile nothing and start no child "
+                "process\n");
+    return 1;
   }
   return 0;
 }

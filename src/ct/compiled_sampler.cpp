@@ -1,86 +1,111 @@
 #include "ct/compiled_sampler.h"
 
 #include <dlfcn.h>
-#include <unistd.h>
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
+#include <condition_variable>
+#include <map>
+#include <mutex>
+#include <set>
 
 #include "bf/codegen.h"
+#include "common/cache_dir.h"
 #include "common/check.h"
+#include "ct/kernel_cache.h"
 
 namespace cgs::ct {
 
 namespace {
 
-std::string unique_stem() {
-  static std::atomic<unsigned> counter{0};
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "/tmp/cgs_kernel_%d_%u", getpid(),
-                counter.fetch_add(1));
-  return buf;
-}
+obs::Counter g_hits, g_compiles;
+obs::Histogram g_compile_ms;
 
-int run_quiet(const std::string& cmd) {
-  return std::system((cmd + " > /dev/null 2>&1").c_str());
+// Single-flight memo over live kernels, keyed by the content key. It holds
+// weak references: a kernel nobody uses is unloaded, and the next request
+// for it is a cheap verified load from disk.
+struct Memo {
+  std::mutex mu;
+  std::condition_variable built;
+  std::map<std::string, std::weak_ptr<const CompiledKernel>> live;
+  std::set<std::string> building;
+};
+Memo& memo() {
+  static Memo m;
+  return m;
 }
 
 }  // namespace
 
+KernelCacheStats kernel_cache_stats() {
+  return {g_hits.value(), g_compiles.value()};
+}
+
+const obs::Histogram& kernel_compile_ms() { return g_compile_ms; }
+
 bool CompiledKernel::is_available() {
-  static const bool ok = [] {
-    return run_quiet("cc --version") == 0 || run_quiet("gcc --version") == 0;
-  }();
+  static const bool ok = kernel_cache::find_host_compiler().has_value();
   return ok;
 }
 
-CompiledKernel::CompiledKernel(const SynthesizedSampler& synth)
-    : num_inputs_(static_cast<std::size_t>(synth.netlist.num_inputs())),
-      num_outputs_(synth.netlist.outputs().size()) {
-  const std::string stem = unique_stem();
-  const std::string c_path = stem + ".c";
-  so_path_ = stem + ".so";
-  const auto write_source = [&](bool with_wide) {
-    std::ofstream out(c_path);
-    CGS_CHECK_MSG(out.good(), "cannot write kernel source");
-    out << bf::emit_c(synth.netlist, "cgs_kernel");
-    if (with_wide)
-      out << "\n" << bf::emit_c_wide(synth.netlist, "cgs_kernel_w4");
+std::shared_ptr<const CompiledKernel> CompiledKernel::load(
+    const SynthesizedSampler& synth, const std::string& cache_dir) {
+  const auto cc = kernel_cache::find_host_compiler();
+  CGS_CHECK_MSG(cc.has_value(), "no host C compiler (cc or gcc) on PATH");
+  const auto emit = [&synth] {
+    return kernel_cache::Source{bf::emit_c(synth.netlist, "cgs_kernel"),
+                                bf::emit_c_wide(synth.netlist, "cgs_kernel_w4")};
   };
-  const std::string compiler =
-      run_quiet("cc --version") == 0 ? "cc" : "gcc";
-  // The kernel is compiled on the host it runs on — exactly the case
-  // -march=native exists for (the wide form roughly doubles on AVX2).
-  // Fallback ladder: native with the 256-lane form -> generic with it ->
-  // scalar-only source (a host compiler without GCC vector extensions
-  // rejects the wide function; the 64-lane kernel must still serve).
-  const std::string flags = " -O2 -shared -fPIC -w -o ";
-  const std::string native_cmd =
-      compiler + " -march=native" + flags + so_path_ + " " + c_path;
-  const std::string generic_cmd = compiler + flags + so_path_ + " " + c_path;
-  write_source(/*with_wide=*/true);
-  if (run_quiet(native_cmd) != 0 && run_quiet(generic_cmd) != 0) {
-    write_source(/*with_wide=*/false);
-    CGS_CHECK_MSG(std::system(generic_cmd.c_str()) == 0,
-                  "kernel compilation failed");
-  }
-  std::remove(c_path.c_str());
+  const kernel_cache::Key key = kernel_cache::make_key(emit(), *cc);
 
-  handle_ = dlopen(so_path_.c_str(), RTLD_NOW | RTLD_LOCAL);
-  CGS_CHECK_MSG(handle_ != nullptr, "dlopen failed");
+  Memo& m = memo();
+  std::unique_lock<std::mutex> lock(m.mu);
+  for (;;) {
+    if (auto it = m.live.find(key.hex); it != m.live.end())
+      if (auto kernel = it->second.lock()) {
+        g_hits.add();
+        return kernel;
+      }
+    if (!m.building.contains(key.hex)) break;
+    m.built.wait(lock);
+  }
+  m.building.insert(key.hex);
+  lock.unlock();
+
+  std::shared_ptr<const CompiledKernel> kernel;
+  try {
+    const kernel_cache::Loaded obj = kernel_cache::load_or_build(
+        cache_dir.empty() ? default_cache_dir() : cache_dir, key, emit, *cc);
+    if (obj.compiles == 0) g_hits.add();
+    g_compiles.add(static_cast<std::uint64_t>(obj.compiles));
+    if (obj.compiles > 0)
+      g_compile_ms.record(static_cast<std::uint64_t>(obj.compile_ms));
+    kernel.reset(new CompiledKernel(
+        obj.handle, static_cast<std::size_t>(synth.netlist.num_inputs()),
+        synth.netlist.outputs().size()));
+  } catch (...) {
+    lock.lock();
+    m.building.erase(key.hex);
+    m.built.notify_all();
+    throw;
+  }
+  lock.lock();
+  m.building.erase(key.hex);
+  m.live[key.hex] = kernel;
+  m.built.notify_all();
+  return kernel;
+}
+
+CompiledKernel::CompiledKernel(void* handle, std::size_t num_inputs,
+                               std::size_t num_outputs)
+    : handle_(handle), num_inputs_(num_inputs), num_outputs_(num_outputs) {
   fn_ = reinterpret_cast<Fn>(dlsym(handle_, "cgs_kernel"));
+  if (fn_ == nullptr) dlclose(handle_);
   CGS_CHECK_MSG(fn_ != nullptr, "kernel symbol missing");
   // Absent only if the host compiler rejects vector extensions — the
   // scalar form still serves, callers check has_wide().
   fn_wide_ = reinterpret_cast<Fn>(dlsym(handle_, "cgs_kernel_w4"));
 }
 
-CompiledKernel::~CompiledKernel() {
-  if (handle_) dlclose(handle_);
-  if (!so_path_.empty()) std::remove(so_path_.c_str());
-}
+CompiledKernel::~CompiledKernel() { dlclose(handle_); }
 
 void CompiledKernel::eval(std::span<const std::uint64_t> in,
                           std::span<std::uint64_t> out) const {
@@ -97,7 +122,7 @@ void CompiledKernel::eval_wide(std::span<const std::uint64_t> in,
 
 CompiledBitslicedSampler::CompiledBitslicedSampler(SynthesizedSampler synth)
     : synth_(std::move(synth)),
-      kernel_(std::make_shared<const CompiledKernel>(synth_)),
+      kernel_(CompiledKernel::load(synth_)),
       in_(static_cast<std::size_t>(synth_.precision)),
       out_words_(synth_.netlist.outputs().size()) {}
 

@@ -3,8 +3,10 @@
 // paper's artifact was exactly such generated C), compile it with the host
 // compiler into a shared object, and call it through a function pointer.
 // ~10x faster than the interpreted netlist and what the Table-1/Table-2
-// "this work" rows use when available. Falls back gracefully (is_available
-// == false) when no host compiler can be found.
+// "this work" rows use when available. The shared object is compiled once
+// per machine and kept in a private, content-addressed cache under
+// $CGS_CACHE_DIR/kernels (ct/kernel_cache.h); is_available == false when
+// no host compiler can be found.
 
 #include <cstdint>
 #include <memory>
@@ -13,15 +15,21 @@
 
 #include "common/sampler.h"
 #include "ct/synthesis.h"
+#include "obs/metric.h"
 
 namespace cgs::ct {
 
 class CompiledKernel {
  public:
-  /// Emits, compiles and loads the kernel — both the 64-lane form and the
-  /// 256-lane vector form (one compile, two symbols). Throws cgs::Error if
-  /// the host compiler fails; use is_available for a soft probe.
-  explicit CompiledKernel(const SynthesizedSampler& synth);
+  /// The kernel for `synth`, carrying both the 64-lane form and the
+  /// 256-lane vector form (one compile, two symbols). Loaded from the
+  /// kernel cache under `cache_dir` (empty: default_cache_dir()), compiled
+  /// and published there on a miss. In-process requests for identical
+  /// content share one instance while any caller holds it, and concurrent
+  /// first requests compile once. Throws cgs::Error if the host compiler
+  /// fails; use is_available for a soft probe.
+  static std::shared_ptr<const CompiledKernel> load(
+      const SynthesizedSampler& synth, const std::string& cache_dir = {});
   ~CompiledKernel();
 
   CompiledKernel(const CompiledKernel&) = delete;
@@ -39,18 +47,33 @@ class CompiledKernel {
   std::size_t num_inputs() const { return num_inputs_; }
   std::size_t num_outputs() const { return num_outputs_; }
 
-  /// True if a host compiler appears usable (cached probe).
+  /// True if a host compiler is on PATH (a lookup; starts no process).
   static bool is_available();
 
  private:
   using Fn = void (*)(const std::uint64_t*, std::uint64_t*);
+  CompiledKernel(void* handle, std::size_t num_inputs,
+                 std::size_t num_outputs);
+
   void* handle_ = nullptr;
   Fn fn_ = nullptr;
   Fn fn_wide_ = nullptr;
   std::size_t num_inputs_ = 0;
   std::size_t num_outputs_ = 0;
-  std::string so_path_;
 };
+
+/// Process-lifetime kernel-cache totals over every CompiledKernel::load:
+/// `hits` were served without a host compile (a live in-process kernel or
+/// a verified cache entry); `compiles` counts host compiles (misses,
+/// rejected entries and uncached builds).
+struct KernelCacheStats {
+  std::uint64_t hits = 0;
+  std::uint64_t compiles = 0;
+};
+KernelCacheStats kernel_cache_stats();
+
+/// Wall time of each host compile (the whole ladder), in milliseconds.
+const obs::Histogram& kernel_compile_ms();
 
 /// Drop-in replacement for BitslicedSampler running the compiled kernel.
 class CompiledBitslicedSampler {
@@ -59,9 +82,8 @@ class CompiledBitslicedSampler {
 
   explicit CompiledBitslicedSampler(SynthesizedSampler synth);
 
-  /// Share an already-compiled kernel instead of emitting and compiling a
-  /// fresh .so — the engine compiles once and hands the kernel to every
-  /// worker. `kernel` must have been built from an identical netlist.
+  /// Run an already-loaded kernel. `kernel` must have been built from an
+  /// identical netlist.
   CompiledBitslicedSampler(SynthesizedSampler synth,
                            std::shared_ptr<const CompiledKernel> kernel);
 

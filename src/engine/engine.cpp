@@ -195,7 +195,7 @@ SamplerEngine::SamplerEngine(
       backend_ = Backend::kCompiled;
     } else if (ct::CompiledKernel::is_available()) {
       try {
-        kernel_ = std::make_shared<const ct::CompiledKernel>(*synth_);
+        kernel_ = ct::CompiledKernel::load(*synth_);
         backend_ = Backend::kCompiled;
       } catch (const Error&) {
         CGS_CHECK_MSG(backend_ != Backend::kCompiled,

@@ -49,10 +49,11 @@ struct EngineOptions {
   Backend backend = Backend::kAuto;
   int num_threads = 0;          // 0 -> hardware concurrency (min 1)
   std::uint64_t root_seed = 0;  // per-worker streams derived from this
-  /// Optional pre-compiled kernel for this synth (see SamplerEngine::
-  /// kernel()): hosting the netlist C takes seconds for large supports, so
-  /// services running several engines over one base compile once and share.
-  /// Must have been built from the identical netlist; shape-checked.
+  /// Optional already-loaded kernel for this synth (see SamplerEngine::
+  /// kernel()). Not needed for sharing — CompiledKernel::load hands every
+  /// engine over one netlist the same live kernel — but lets a caller pin
+  /// the exact kernel it measured. Must have been built from the identical
+  /// netlist; shape-checked.
   std::shared_ptr<const ct::CompiledKernel> shared_kernel;
 };
 

@@ -2,11 +2,11 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <iomanip>
 #include <sstream>
 
+#include "common/cache_dir.h"
 #include "common/check.h"
 #include "gauss/probmatrix.h"
 #include "serial/formats.h"
@@ -103,15 +103,6 @@ std::string recipe_cache_key(double target_sigma, double target_center,
      << "-c" << hex_bits(target_center) << "-e" << hex_bits(eps) << "-p"
      << base_precision;
   return os.str();
-}
-
-std::string default_cache_dir() {
-  if (const char* env = std::getenv("CGS_CACHE_DIR"); env && *env) return env;
-  if (const char* xdg = std::getenv("XDG_CACHE_HOME"); xdg && *xdg)
-    return std::string(xdg) + "/cgs-samplers";
-  if (const char* home = std::getenv("HOME"); home && *home)
-    return std::string(home) + "/.cache/cgs-samplers";
-  return ".cgs-cache";
 }
 
 SamplerRegistry::SamplerRegistry(Options options)

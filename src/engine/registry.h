@@ -41,11 +41,6 @@ std::string recipe_cache_key(double target_sigma, double target_center,
                              double eps = gauss::kDefaultSmoothingEps,
                              int base_precision = 64);
 
-/// Cache directory resolution: $CGS_CACHE_DIR if set, else
-/// $XDG_CACHE_HOME/cgs-samplers, else $HOME/.cache/cgs-samplers, else
-/// ./.cgs-cache.
-std::string default_cache_dir();
-
 class SamplerRegistry {
  public:
   struct Options {

@@ -99,7 +99,9 @@ class EventLog {
         detail.size() < sizeof slot.event.detail - 1
             ? detail.size()
             : sizeof slot.event.detail - 1;
-    std::memcpy(slot.event.detail, detail.data(), n);
+    // An empty string_view may carry a null data(); memcpy from null is
+    // undefined even for n == 0.
+    if (n != 0) std::memcpy(slot.event.detail, detail.data(), n);
     slot.event.detail[n] = '\0';
     slot.version.store(v + 2, std::memory_order_release);
   }

@@ -29,10 +29,10 @@ Registry::Slot& Registry::slot_for(const std::string& name, Kind kind,
     CGS_CHECK_MSG(it->second.kind == kind,
                   "obs: metric re-registered with a different kind");
     if (callback) {
-      CGS_CHECK_MSG(static_cast<bool>(it->second.fn),
+      CGS_CHECK_MSG(it->second.is_callback(),
                     "obs: callback name collides with an owned instrument");
     } else {
-      CGS_CHECK_MSG(!it->second.fn,
+      CGS_CHECK_MSG(!it->second.is_callback(),
                     "obs: owned instrument name collides with a callback");
     }
     return it->second;
@@ -127,6 +127,13 @@ void Registry::counter_fn(const std::string& name,
   slot.fn = std::move(fn);
 }
 
+void Registry::histogram_ref(const std::string& name,
+                             const Histogram& source) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Slot& slot = slot_for(name, Kind::kHistogram, /*callback=*/true);
+  slot.histogram_ref = &source;
+}
+
 void Registry::unregister(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   slots_.erase(name);
@@ -153,12 +160,13 @@ std::vector<Sample> Registry::collect() const {
       s.value = static_cast<double>(slot.counter->value());
     } else if (slot.gauge) {
       s.value = static_cast<double>(slot.gauge->value());
-    } else if (slot.histogram) {
+    } else if (const Histogram* h = slot.histogram ? slot.histogram.get()
+                                                   : slot.histogram_ref) {
       s.is_histogram = true;
-      s.buckets = slot.histogram->snapshot();
+      s.buckets = h->snapshot();
       for (std::uint64_t b : s.buckets) s.count += b;
-      s.sum_us = slot.histogram->sum();
-      s.exemplars = slot.histogram->exemplar_snapshot();
+      s.sum_us = h->sum();
+      s.exemplars = h->exemplar_snapshot();
     }
     out.push_back(std::move(s));
     // Labeled cells ride directly behind their family's global sample so

@@ -98,6 +98,10 @@ class Registry {
   /// instrument.
   void gauge_fn(const std::string& name, std::function<double()> fn);
   void counter_fn(const std::string& name, std::function<double()> fn);
+  /// Expose a histogram owned elsewhere (a process-wide instrument) under
+  /// `name`, read at collect() time. Same unregister obligation as the
+  /// callbacks above.
+  void histogram_ref(const std::string& name, const Histogram& source);
 
   /// Drop one instrument / every instrument whose name starts with
   /// `prefix`. Required for callbacks before their backing state dies;
@@ -117,6 +121,8 @@ class Registry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
     std::function<double()> fn;  // callback instruments only
+    const Histogram* histogram_ref = nullptr;  // histogram_ref() only
+    bool is_callback() const { return fn || histogram_ref; }
     // Optional companions wrapping the owned instrument above.
     std::unique_ptr<CounterFamily> counter_family;
     std::unique_ptr<WindowedCounter> windowed_counter;

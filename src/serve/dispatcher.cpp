@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "ct/compiled_sampler.h"
 #include "prng/chacha20.h"
 
 namespace cgs::serve {
@@ -276,6 +277,16 @@ void Dispatcher::register_bridges() {
   gauge("cgs_gauss_streams", [svc = gaussian_.get()] {
     return static_cast<double>(svc->num_streams());
   });
+
+  // Sampler-core provenance: how this process got its compiled kernels.
+  counter("cgs_kernel_cache_hits_total", [] {
+    return static_cast<double>(ct::kernel_cache_stats().hits);
+  });
+  counter("cgs_kernel_cache_compiles_total", [] {
+    return static_cast<double>(ct::kernel_cache_stats().compiles);
+  });
+  obs_->histogram_ref("cgs_kernel_compile_ms", ct::kernel_compile_ms());
+  callback_metrics_.push_back("cgs_kernel_compile_ms");
 }
 
 void Dispatcher::shutdown() {

@@ -71,10 +71,25 @@ std::vector<std::uint8_t> overloaded(std::uint64_t request_id,
   return net::encode_overloaded(shed);
 }
 
-template <typename R, typename Ok, typename Err>
+// One failure encoder for every queued request class. The frame type
+// follows the class, so that class's client decode phase can always parse
+// it; a verify failure doubles as the answer to anything else.
+std::vector<std::uint8_t> failure_frame(obs::RequestClass cls, std::uint64_t id,
+                                        const std::string& e) {
+  switch (cls) {
+    case obs::RequestClass::kSign:
+      return encode(SignResponseFrame::failure(id, e));
+    case obs::RequestClass::kKeygen:
+      return encode(KeygenResponseFrame::failure(id, e));
+    default:
+      return encode(VerifyResponseFrame::failure(id, e));
+  }
+}
+
+template <typename R, typename Ok>
 void settle_async(CompletionPool& pool, net::ResponseToken token,
-                  Submission<R> sub, std::uint64_t request_id, Ok ok,
-                  Err err) {
+                  Submission<R> sub, std::uint64_t request_id,
+                  obs::RequestClass cls, Ok ok) {
   if (!sub.ok()) {
     token.send(
         overloaded(request_id, to_string(sub.status), sub.retry_after_ms));
@@ -82,7 +97,7 @@ void settle_async(CompletionPool& pool, net::ResponseToken token,
   }
   auto tok = std::make_shared<net::ResponseToken>(std::move(token));
   auto fut = std::make_shared<std::future<R>>(std::move(sub.future));
-  pool.post([tok, fut, request_id, ok, err] {
+  pool.post([tok, fut, request_id, cls, ok] {
     try {
       tok->send(ok(request_id, fut->get()));
     } catch (const DeadlineExpired& e) {
@@ -91,19 +106,9 @@ void settle_async(CompletionPool& pool, net::ResponseToken token,
       // deadline itself can move.
       tok->send(overloaded(request_id, e.what(), 0));
     } catch (const std::exception& e) {
-      tok->send(err(request_id, std::string(e.what())));
+      tok->send(failure_frame(cls, request_id, e.what()));
     }
   });
-}
-
-std::vector<std::uint8_t> sign_err(std::uint64_t id, const std::string& e) {
-  return encode(SignResponseFrame::failure(id, e));
-}
-std::vector<std::uint8_t> verify_err(std::uint64_t id, const std::string& e) {
-  return encode(VerifyResponseFrame::failure(id, e));
-}
-std::vector<std::uint8_t> keygen_err(std::uint64_t id, const std::string& e) {
-  return encode(KeygenResponseFrame::failure(id, e));
 }
 
 // Best-effort request id recovery from a frame we could not (or will not)
@@ -137,18 +142,19 @@ void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
         env.deadline_us = req.deadline_us;
         settle_async(
             pool, std::move(token), dispatcher.submit(std::move(env)),
-            req.request_id,
+            req.request_id, obs::RequestClass::kKeygen,
             [](std::uint64_t id, const KeygenResult& r) {
               return encode(KeygenResponseFrame::success(
                   id, r.key_id, r.public_h, r.params.n));
-            },
-            keygen_err);
+            });
         return;
       }
       case serial::TypeTag::kSignRequest: {
         SignRequestFrame req = decode_sign_request(frame);
         if (dispatcher.key(req.key_id) == nullptr) {
-          token.send(sign_err(req.request_id, "unknown key"));
+          token.send(
+              failure_frame(obs::RequestClass::kSign, req.request_id,
+                            "unknown key"));
           return;
         }
         SignRequest env;
@@ -159,17 +165,18 @@ void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
         env.deadline_us = req.deadline_us;
         settle_async(
             pool, std::move(token), dispatcher.submit(std::move(env)),
-            req.request_id,
+            req.request_id, obs::RequestClass::kSign,
             [](std::uint64_t id, const falcon::Signature& sig) {
               return encode(SignResponseFrame::success(id, sig));
-            },
-            sign_err);
+            });
         return;
       }
       case serial::TypeTag::kVerifyRequest: {
         VerifyRequestFrame req = decode_verify_request(frame);
         if (dispatcher.key(req.key_id) == nullptr) {
-          token.send(verify_err(req.request_id, "unknown key"));
+          token.send(
+              failure_frame(obs::RequestClass::kVerify, req.request_id,
+                            "unknown key"));
           return;
         }
         VerifyRequest env;
@@ -181,11 +188,10 @@ void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
         env.deadline_us = req.deadline_us;
         settle_async(
             pool, std::move(token), dispatcher.submit(std::move(env)),
-            req.request_id,
+            req.request_id, obs::RequestClass::kVerify,
             [](std::uint64_t id, bool accepted) {
               return encode(VerifyResponseFrame::verdict(id, accepted));
-            },
-            verify_err);
+            });
         return;
       }
       case serial::TypeTag::kStatsRequest: {
@@ -253,10 +259,10 @@ void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
     try {
       switch (serial::peek_tag(frame)) {
         case serial::TypeTag::kKeygenRequest:
-          resp = keygen_err(id, e.what());
+          resp = failure_frame(obs::RequestClass::kKeygen, id, e.what());
           break;
         case serial::TypeTag::kSignRequest:
-          resp = sign_err(id, e.what());
+          resp = failure_frame(obs::RequestClass::kSign, id, e.what());
           break;
         case serial::TypeTag::kStatsRequest:
           resp = encode(StatsResponseFrame::failure(id, e.what()));
@@ -265,11 +271,11 @@ void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
           resp = encode(HealthResponseFrame::failure(id, e.what()));
           break;
         default:
-          resp = verify_err(id, e.what());
+          resp = failure_frame(obs::RequestClass::kVerify, id, e.what());
           break;
       }
     } catch (const std::exception&) {
-      resp = verify_err(id, e.what());
+      resp = failure_frame(obs::RequestClass::kVerify, id, e.what());
     }
     token.send(std::move(resp));
   }

@@ -577,7 +577,9 @@ TEST(Dispatcher, ExpositionNamesCoverEveryClass) {
       "cgs_signing_base_rejections_total", "cgs_trace_compute_us",
       "cgs_trace_fulfil_us", "cgs_trace_linger_us", "cgs_trace_queue_wait_us",
       "cgs_trace_sampled_total", "cgs_trace_total_us",
-      "cgs_trace_write_stall_us", "cgs_obs_events_total"};
+      "cgs_trace_write_stall_us", "cgs_obs_events_total",
+      "cgs_kernel_cache_hits_total", "cgs_kernel_cache_compiles_total",
+      "cgs_kernel_compile_ms"};
   for (const std::string cache : {"ffldl_tree", "netlist", "ntt_key", "recipe"})
     for (const char* suffix : {"_bytes", "_entries", "_evictions_total",
                                "_hits_total", "_misses_total",
